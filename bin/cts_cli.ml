@@ -137,7 +137,7 @@ let abs_path p =
 let with_obs opts f =
   (match opts.trace_sample with
   | None -> ()
-  | Some n when n >= 1 -> Obs.Span.set_sampling (Obs.Span.One_in n)
+  | Some n when n >= 1 -> Obs.Span.set_sampling n
   | Some n ->
       Printf.eprintf "cts: --trace-sample must be >= 1 (got %d)\n%!" n;
       exit 1);
@@ -184,7 +184,7 @@ let with_obs opts f =
     | Some path -> ( try Sys.remove path with Sys_error _ -> ())
     | None -> ());
     (match events with None -> () | Some t -> Obs.Events.stop t);
-    if opts.trace_sample <> None then Obs.Span.reset_sampling ();
+    if opts.trace_sample <> None then Obs.Span.set_sampling 1;
     (match trace_oc with
     | Some oc ->
         Obs.Span.set_trace_sink Obs.Sink.Null;

@@ -1,9 +1,9 @@
-(* Engine metrics are recorded twice on purpose: every event feeds the
-   process-wide Obs registry (the export source of truth, summed over
-   all engines), while the instance keeps just enough state — counts
-   and raw latency samples — for per-run summaries and confidence
-   intervals that a merged registry cannot provide. *)
+(* Counts are recorded twice on purpose: the process-wide Obs registry
+   sums every engine, the instance counts its own for per-run figures.
+   Latency goes to the registry histogram only; the instance keeps an
+   exact running sum and a fixed ring of recent samples, both O(1). *)
 
+let latency_ring_size = 1024
 let latency_lo_us = 0.0
 let latency_hi_us = 500.0
 let latency_bins = 100
@@ -20,9 +20,10 @@ type t = {
   mutable rejects : int;
   mutable releases : int;
   mutable fallbacks : int;  (* degraded (peak-rate) decisions *)
-  histogram : Stats.Histogram.t;  (* microseconds *)
-  mutable samples : float array;  (* microseconds *)
-  mutable n_samples : int;
+  mutable latency_sum_us : float;
+  ring : float array;
+      (* microseconds; decision [d] (0-based) lives in slot
+         [d mod latency_ring_size] *)
   (* registry handles (each domain resolves its own shard cell) *)
   c_admits : Obs.Registry.Counter.t;
   c_rejects : Obs.Registry.Counter.t;
@@ -31,23 +32,13 @@ type t = {
 }
 
 let create () =
-  let histogram =
-    Stats.Histogram.create ~lo:latency_lo_us ~hi:latency_hi_us ~bins:latency_bins
-  in
-  (* The registry histogram shares the instance histogram's shape, so
-     merged exports and instance views bucket identically. *)
-  assert (
-    Float.equal (Stats.Histogram.lo histogram) latency_lo_us
-    && Float.equal (Stats.Histogram.hi histogram) latency_hi_us
-    && Stats.Histogram.bins histogram = latency_bins);
   {
     admits = 0;
     rejects = 0;
     releases = 0;
     fallbacks = 0;
-    histogram;
-    samples = Array.make 1024 0.0;
-    n_samples = 0;
+    latency_sum_us = 0.0;
+    ring = Array.make latency_ring_size 0.0;
     c_admits = Obs.Registry.Counter.v "cac.engine.admits";
     c_rejects = Obs.Registry.Counter.v "cac.engine.rejects";
     c_releases = Obs.Registry.Counter.v "cac.engine.releases";
@@ -56,29 +47,31 @@ let create () =
         ~bins:latency_bins "cac.engine.decision_latency_us";
   }
 
+let admits t = t.admits
+let rejects t = t.rejects
+let releases t = t.releases
+let fallbacks t = t.fallbacks
+let decisions t = t.admits + t.rejects
+
+(* Called before the decision is counted, so [decisions t] is this
+   decision's 0-based index.  Decisions slower than [latency_hi_us]
+   land in the registry histogram's overflow bin — counted, never
+   dropped. *)
 let record_latency t latency =
   let us = latency *. 1e6 in
-  (* Decisions slower than [latency_hi_us] land in the overflow bin of
-     both histograms — they are counted, never dropped. *)
-  Stats.Histogram.add t.histogram us;
   Obs.Registry.Histogram.observe t.h_latency us;
-  if t.n_samples = Array.length t.samples then begin
-    let grown = Array.make (2 * t.n_samples) 0.0 in
-    Array.blit t.samples 0 grown 0 t.n_samples;
-    t.samples <- grown
-  end;
-  t.samples.(t.n_samples) <- us;
-  t.n_samples <- t.n_samples + 1
+  t.latency_sum_us <- t.latency_sum_us +. us;
+  t.ring.(decisions t mod latency_ring_size) <- us
 
 let record_admit t ~latency =
+  record_latency t latency;
   t.admits <- t.admits + 1;
-  Obs.Registry.Counter.incr t.c_admits;
-  record_latency t latency
+  Obs.Registry.Counter.incr t.c_admits
 
 let record_reject t ~latency =
+  record_latency t latency;
   t.rejects <- t.rejects + 1;
-  Obs.Registry.Counter.incr t.c_rejects;
-  record_latency t latency
+  Obs.Registry.Counter.incr t.c_rejects
 
 let record_release t =
   t.releases <- t.releases + 1;
@@ -89,26 +82,23 @@ let record_release t =
    per-instance view. *)
 let record_fallback t = t.fallbacks <- t.fallbacks + 1
 
-let admits t = t.admits
-let rejects t = t.rejects
-let releases t = t.releases
-let fallbacks t = t.fallbacks
-let decisions t = t.admits + t.rejects
-
 let blocking_probability t =
   let d = decisions t in
   if d = 0 then 0.0 else float_of_int t.rejects /. float_of_int d
 
-let latency_histogram t = t.histogram
-let latency_overflow t = Stats.Histogram.overflow t.histogram
-let latency_samples t = Array.sub t.samples 0 t.n_samples
+let latency_sum_us t = t.latency_sum_us
+
+let latency_samples t =
+  let n = decisions t in
+  let kept = Stdlib.min n latency_ring_size in
+  Array.init kept (fun i -> t.ring.((n - kept + i) mod latency_ring_size))
 
 let latency_mean_us t =
-  if t.n_samples = 0 then 0.0
-  else Numerics.Float_array.mean (latency_samples t)
+  let n = decisions t in
+  if n = 0 then 0.0 else t.latency_sum_us /. float_of_int n
 
 let latency_ci_us t =
-  if t.n_samples < 2 then None
+  if decisions t < 2 then None
   else Some (Stats.Ci.mean_ci (latency_samples t))
 
 let print ?sink ?(label = "cac") t =
@@ -119,13 +109,17 @@ let print ?sink ?(label = "cac") t =
     Obs.Sink.messagef sink
       "%s: %d degraded decisions (peak-rate fallback, fail-closed)" label
       t.fallbacks;
-  if t.n_samples > 0 then begin
+  let n = decisions t in
+  if n > 0 then begin
     match latency_ci_us t with
     | Some ci ->
         Obs.Sink.messagef sink
-          "%s: decision latency %.2f us (95%% CI +/- %.2f, n = %d)" label
-          ci.Stats.Ci.point ci.Stats.Ci.half_width t.n_samples
+          "%s: decision latency %.2f us (95%% CI +/- %.2f over the last %d, \
+           n = %d)"
+          label (latency_mean_us t) ci.Stats.Ci.half_width
+          (Stdlib.min n latency_ring_size)
+          n
     | None ->
         Obs.Sink.messagef sink "%s: decision latency %.2f us (n = %d)" label
-          (latency_mean_us t) t.n_samples
+          (latency_mean_us t) n
   end

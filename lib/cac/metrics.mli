@@ -2,13 +2,15 @@
     per-engine view over the same event stream that feeds the global
     {!Obs.Registry}.
 
-    Every recorded event goes to two places: the process-wide
-    instruments [cac.engine.{admits,rejects,releases}] and the
-    [cac.engine.decision_latency_us] histogram (the source of truth
-    for {!Obs.Export} — summed over all engines and domains), and this
-    instance's own state, which additionally keeps the raw latency
-    samples needed for mean / confidence-interval summaries via
-    {!Stats.Ci}. *)
+    Counts are kept twice: the process-wide instruments
+    [cac.engine.{admits,rejects,releases}] sum every engine in the
+    process, while this instance counts only its own decisions (a
+    sweep's per-run figures need that).  Latency is kept once: the
+    [cac.engine.decision_latency_us] registry histogram is the only
+    store of its distribution.  The instance adds just an exact running
+    sum (for the mean) and a fixed ring of the last 1024 samples (for
+    the confidence interval), so its memory does not grow with the
+    number of decisions. *)
 
 type t
 
@@ -33,31 +35,27 @@ val fallbacks : t -> int
 (** Degraded decisions recorded on this instance. *)
 
 val decisions : t -> int
-(** [admits + rejects]. *)
+(** [admits + rejects]; every decision records one latency. *)
 
 val blocking_probability : t -> float
 (** [rejects / decisions]; 0 when no decisions were made. *)
 
-val latency_histogram : t -> Stats.Histogram.t
-(** Decision latency in microseconds: 100 equal bins over [0, 500).
-    Decisions slower than 500 us are {e not dropped} — they are
-    tallied in the histogram's overflow bin ({!latency_overflow},
-    included in {!Stats.Histogram.total}); anything below 0 would land
-    in the underflow bin.  The registry histogram
-    [cac.engine.decision_latency_us] uses the identical bin layout, so
-    the merged export buckets agree with this view. *)
-
-val latency_overflow : t -> int
-(** Decisions that took 500 us or longer (the overflow bin). *)
+val latency_sum_us : t -> float
+(** Sum of every recorded decision latency, microseconds.  The mean
+    over a window is the change in this sum divided by the change in
+    {!decisions}. *)
 
 val latency_samples : t -> float array
-(** All recorded decision latencies, microseconds, in arrival order. *)
+(** The last [min decisions 1024] decision latencies, microseconds, in
+    arrival order. *)
 
 val latency_mean_us : t -> float
-(** Mean decision latency in microseconds; 0 when empty. *)
+(** Mean decision latency over every decision, microseconds; 0 when
+    empty. *)
 
 val latency_ci_us : t -> Stats.Ci.interval option
-(** 95% Student-t interval on the mean latency (needs >= 2 samples). *)
+(** 95% Student-t interval on the mean of {!latency_samples} (needs
+    >= 2 samples). *)
 
 val print : ?sink:Obs.Sink.t -> ?label:string -> t -> unit
 (** Human-readable summary, routed through the given sink (default:

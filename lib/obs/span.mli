@@ -30,34 +30,18 @@ val set_ring_bridge : (string -> bool -> unit) option -> unit
 
 (** {1 Sampling}
 
-    Rate-limits {e trace emission} per span name so [--trace] stays
-    usable on million-request replays and under the serving daemon.
-    Registry histograms are unaffected — every span is still timed and
-    recorded; sampling only decides which completions reach the trace
-    sink.  Dropped completions tick [obs.span.sampled_out]. *)
+    Thins {e trace emission} per span name so [--trace] stays usable on
+    million-request replays and under the serving daemon.  Registry
+    histograms are unaffected — every span is still timed and recorded;
+    sampling only decides which completions reach the trace sink.
+    Dropped completions tick [obs.span.sampled_out].  With no trace
+    sink installed the sampler is never consulted. *)
 
-type sampling =
-  | Always
-  | One_in of int
-      (** emit the 1st, (n+1)th, (2n+1)th … completion of each span
-          name, counted per domain *)
-  | Token_bucket of { capacity : int; refill_per_s : float }
-      (** emit while tokens remain; one token per event, refilled at
-          [refill_per_s] against the monotonic clock, per domain *)
-
-val set_sampling : ?name:string -> sampling -> unit
-(** [set_sampling ~name policy] overrides the policy for one span
-    name; without [name] it replaces the default applied to
-    unlisted names.  Raises [Invalid_argument] on [One_in n < 1], a
-    negative capacity or a non-finite/negative refill rate.  Any
-    change resets every domain's sampling counters. *)
-
-val reset_sampling : unit -> unit
-(** Back to emit-everything (the default), clearing per-name
-    overrides. *)
-
-val sampling_for : string -> sampling
-(** The policy that applies to a span name. *)
+val set_sampling : int -> unit
+(** [set_sampling n] emits the 1st, (n+1)th, (2n+1)th … completion of
+    each span name, counted per domain from this call on; [n = 1] (the
+    default) emits every completion.  Raises [Invalid_argument] when
+    [n < 1]. *)
 
 val current_depth : unit -> int
 (** Number of open spans on the calling domain's stack. *)

@@ -373,6 +373,10 @@ let serve t listen_fd =
           | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED), _, _) ->
               ()
           | fd, _ ->
+              (* Without it Nagle holds the second of two pipelined
+                 responses until the peer's delayed ACK (~40 ms). *)
+              (try Unix.setsockopt fd Unix.TCP_NODELAY true
+               with Unix.Unix_error _ -> ());
               if
                 not
                   (queue_push t.work

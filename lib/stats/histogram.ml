@@ -33,30 +33,6 @@ let underflow t = t.underflow
 let overflow t = t.overflow
 let lo t = t.lo
 let hi t = t.hi
-let bins t = Array.length t.counts
-
-let copy t =
-  {
-    t with
-    counts = Array.copy t.counts;
-    underflow = t.underflow;
-    overflow = t.overflow;
-  }
-
-let same_shape a b =
-  Float.equal a.lo b.lo && Float.equal a.hi b.hi && Array.length a.counts = Array.length b.counts
-
-let merge_into ~into t =
-  if not (same_shape into t) then
-    invalid_arg "Histogram.merge_into: incompatible bounds or bin counts";
-  Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) t.counts;
-  into.underflow <- into.underflow + t.underflow;
-  into.overflow <- into.overflow + t.overflow
-
-let merge a b =
-  let m = copy a in
-  merge_into ~into:m b;
-  m
 
 let total t =
   Array.fold_left ( + ) 0 t.counts + t.underflow + t.overflow

@@ -18,21 +18,6 @@ val total : t -> int
 
 val lo : t -> float
 val hi : t -> float
-val bins : t -> int
-
-val copy : t -> t
-
-val same_shape : t -> t -> bool
-(** Same [lo], [hi] and bin count — the precondition for merging. *)
-
-val merge_into : into:t -> t -> unit
-(** Add [t]'s counts (including under/overflow) into [into].  Raises
-    [Invalid_argument] unless {!same_shape}.  Merging is associative
-    and commutative, so per-domain shards can be combined in any
-    order. *)
-
-val merge : t -> t -> t
-(** Fresh histogram with the summed counts of both arguments. *)
 
 val bin_centers : t -> float array
 

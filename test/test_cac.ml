@@ -242,8 +242,83 @@ let test_engine_metrics_consistency () =
   check_close ~tol:1e-12 "blocking probability"
     result.Cac.Workload.blocking
     (Cac.Metrics.blocking_probability m);
-  check_int "latency histogram complete" 500
-    (Stats.Histogram.total (Cac.Metrics.latency_histogram m))
+  check_int "one latency sample per decision" 500
+    (Array.length (Cac.Metrics.latency_samples m))
+
+(* A deterministic engine clock: the engine reads it exactly twice per
+   decision, and decision [d]'s second read is [latency_us d]
+   microseconds after its first.  Also returns the latencies it issued
+   (microseconds, newest first), each derived from the two reads
+   exactly as [Cac.Metrics] derives it. *)
+let scripted_clock latency_us =
+  let now = ref 0.0 and reads = ref 0 and issued = ref [] in
+  let clock () =
+    if !reads mod 2 = 1 then begin
+      let started = !now in
+      now := started +. (latency_us (!reads / 2) *. 1e-6);
+      issued := ((!now -. started) *. 1e6) :: !issued
+    end;
+    incr reads;
+    !now
+  in
+  (clock, issued)
+
+let scripted_engine latency_us =
+  let clock, issued = scripted_clock latency_us in
+  let engine = Cac.Engine.create ~clock () in
+  let _ =
+    Cac.Engine.add_link_msec engine ~id:"oc3" ~capacity:16140.0
+      ~buffer_msec:10.0 ~target_clr:1e-6
+  in
+  (engine, issued)
+
+let test_metrics_bounded_latency () =
+  let engine, issued =
+    scripted_engine (fun d -> float_of_int (1 + (d mod 97)))
+  in
+  let cls = Cac.Source_class.of_name_exn "dar1" in
+  let n = 100_000 in
+  for _ = 1 to n do
+    match Cac.Engine.admit engine ~link:"oc3" ~cls with
+    | Cac.Engine.Admitted conn -> Cac.Engine.release engine ~conn
+    | Cac.Engine.Rejected _ -> ()
+  done;
+  let m = Cac.Engine.metrics engine in
+  check_int "every decision counted" n (Cac.Metrics.decisions m);
+  let issued = Array.of_list (List.rev !issued) in
+  check_int "the clock timed every decision" n (Array.length issued);
+  let ring = Cac.Metrics.latency_samples m in
+  check_int "only the last 1024 samples are kept" 1024 (Array.length ring);
+  Array.iteri
+    (fun i us ->
+      check_close ~tol:0.0
+        (Printf.sprintf "ring slot %d is decision %d" i (n - 1024 + i))
+        issued.(n - 1024 + i) us)
+    ring;
+  let exact = Array.fold_left ( +. ) 0.0 issued /. float_of_int n in
+  check_close ~tol:0.0 "mean over every decision" exact
+    (Cac.Metrics.latency_mean_us m)
+
+let test_workload_mean_latency_per_run () =
+  let requests = 500 in
+  (* decisions of the first run take 3 us, those of the second 7 us *)
+  let engine, _ =
+    scripted_engine (fun d -> if d < requests then 3.0 else 7.0)
+  in
+  let cls = Cac.Source_class.of_name_exn "dar1" in
+  let spec =
+    Cac.Workload.spec ~arrival_rate:0.6 ~mean_holding:50.0 ~requests
+      ~mix:[ (cls, 1.0) ] ()
+  in
+  let run seed =
+    Cac.Workload.run engine ~link:"oc3" spec (Numerics.Rng.create ~seed)
+  in
+  let first = run 3 in
+  let second = run 4 in
+  check_close ~tol:1e-6 "first run's own mean" 3.0
+    first.Cac.Workload.mean_latency_us;
+  check_close ~tol:1e-6 "second run's own mean" 7.0
+    second.Cac.Workload.mean_latency_us
 
 let test_workload_deterministic () =
   let cls = Cac.Source_class.of_name_exn "dar2" in
@@ -378,6 +453,8 @@ let suite =
     case "verdict stable across repeats" test_engine_verdict_stable_across_repeats;
     case "heterogeneous mix" test_engine_heterogeneous_mix;
     case "metrics consistency" test_engine_metrics_consistency;
+    case "metrics latency memory bounded" test_metrics_bounded_latency;
+    case "workload mean latency per run" test_workload_mean_latency_per_run;
     case "workload deterministic" test_workload_deterministic;
     case "steady-state cache hits" test_workload_steady_state_cache_hits;
     case "sweep parallel = sequential" test_sweep_parallel_equals_sequential;

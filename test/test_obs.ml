@@ -83,28 +83,6 @@ let test_histogram_domain_merge () =
         merged.overflow;
       check_close ~tol:1e-6 "sum matches" !ref_sum merged.sum
 
-let test_stats_merge_associative () =
-  let mk obs =
-    let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-    List.iter (Stats.Histogram.add h) obs;
-    h
-  in
-  let a () = mk [ 0.5; 3.0; 9.9 ]
-  and b () = mk [ -1.0; 4.2; 4.3 ]
-  and c () = mk [ 11.0; 0.1 ] in
-  let left = Stats.Histogram.merge (Stats.Histogram.merge (a ()) (b ())) (c ())
-  and right =
-    Stats.Histogram.merge (a ()) (Stats.Histogram.merge (b ()) (c ()))
-  in
-  check_true "merge associative (bin counts)"
-    (Stats.Histogram.counts left = Stats.Histogram.counts right);
-  check_int "merge associative (underflow)"
-    (Stats.Histogram.underflow left)
-    (Stats.Histogram.underflow right);
-  check_int "merge associative (overflow)"
-    (Stats.Histogram.overflow left)
-    (Stats.Histogram.overflow right)
-
 let test_handle_shared_across_domains () =
   (* One module-style handle used by four domains: each domain updates
      its own shard's cell, so nothing is lost in the merge. *)
@@ -214,17 +192,18 @@ let test_span_trace_events () =
 
 (* {2 Trace sampling} *)
 
-(* Run [spans] completions of [name] under [policy] with a Jsonl trace
-   sink installed; returns how many trace lines were emitted. *)
-let emitted_under policy ~name ~spans =
+(* Run [spans] completions of [name] under [set_sampling n] with a
+   Jsonl trace sink installed; returns how many trace lines were
+   emitted. *)
+let emitted_under n ~name ~spans =
   let lines =
     with_temp_jsonl (fun sink ->
         Obs.Span.set_trace_sink sink;
-        Obs.Span.set_sampling ~name policy;
+        Obs.Span.set_sampling n;
         Fun.protect
           ~finally:(fun () ->
             Obs.Span.set_trace_sink Obs.Sink.Null;
-            Obs.Span.reset_sampling ())
+            Obs.Span.set_sampling 1)
           (fun () ->
             for _ = 1 to spans do
               Obs.Span.with_ ~name ignore
@@ -235,7 +214,7 @@ let emitted_under policy ~name ~spans =
 let test_span_sampling_one_in () =
   let dropped_before = Obs.Registry.counter_value "obs.span.sampled_out" in
   check_int "1-in-3 over 9 completions" 3
-    (emitted_under (Obs.Span.One_in 3) ~name:"test.sampled_one_in" ~spans:9);
+    (emitted_under 3 ~name:"test.sampled_one_in" ~spans:9);
   check_int "six completions dropped" (dropped_before + 6)
     (Obs.Registry.counter_value "obs.span.sampled_out");
   (* sampling gates the trace sink only: every span is still timed *)
@@ -243,44 +222,35 @@ let test_span_sampling_one_in () =
   | Some s -> check_true "histogram saw all 9 spans" (s.count >= 9)
   | None -> Alcotest.fail "sampled span histogram missing"
 
-let test_span_sampling_token_bucket () =
-  check_int "bucket of 2 with no refill" 2
-    (emitted_under
-       (Obs.Span.Token_bucket { capacity = 2; refill_per_s = 0.0 })
-       ~name:"test.sampled_bucket" ~spans:40)
-
-let test_span_sampling_scoping () =
-  Obs.Span.set_sampling ~name:"test.scoped" (Obs.Span.One_in 5);
-  Fun.protect
-    ~finally:(fun () -> Obs.Span.reset_sampling ())
-    (fun () ->
-      check_true "named override applies"
-        (Obs.Span.sampling_for "test.scoped" = Obs.Span.One_in 5);
-      check_true "other names keep the default"
-        (Obs.Span.sampling_for "test.other" = Obs.Span.Always));
-  check_true "reset restores emit-everything"
-    (Obs.Span.sampling_for "test.scoped" = Obs.Span.Always);
+let test_span_sampling_reset () =
+  check_int "rate 1 emits every completion" 4
+    (emitted_under 1 ~name:"test.sampled_reset" ~spans:4);
+  (* each set_sampling restarts the count: the first completion after
+     it is emitted even though the previous call left the count at 2 *)
+  check_int "first of two under 1-in-3" 1
+    (emitted_under 3 ~name:"test.sampled_reset" ~spans:2);
+  check_int "count restarts on set_sampling" 1
+    (emitted_under 3 ~name:"test.sampled_reset" ~spans:1);
   (* spans with no sink installed never consult the sampler *)
   let before = Obs.Registry.counter_value "obs.span.sampled_out" in
-  Obs.Span.set_sampling ~name:"test.scoped" (Obs.Span.One_in 2);
+  Obs.Span.set_sampling 2;
   Fun.protect
-    ~finally:(fun () -> Obs.Span.reset_sampling ())
+    ~finally:(fun () -> Obs.Span.set_sampling 1)
     (fun () ->
       for _ = 1 to 8 do
-        Obs.Span.with_ ~name:"test.scoped" ignore
+        Obs.Span.with_ ~name:"test.sampled_reset" ignore
       done);
   check_int "no sink: sampler never consulted" before
     (Obs.Registry.counter_value "obs.span.sampled_out")
 
 let test_span_sampling_validation () =
-  let rejected policy =
-    match Obs.Span.set_sampling ~name:"test.invalid" policy with
+  let rejected n =
+    match Obs.Span.set_sampling n with
     | exception Invalid_argument _ -> ()
-    | () -> Alcotest.fail "invalid sampling policy accepted"
+    | () -> Alcotest.failf "sampling rate %d accepted" n
   in
-  rejected (Obs.Span.One_in 0);
-  rejected (Obs.Span.Token_bucket { capacity = -1; refill_per_s = 1.0 });
-  rejected (Obs.Span.Token_bucket { capacity = 1; refill_per_s = Float.nan })
+  rejected 0;
+  rejected (-3)
 
 (* {2 Trace context} *)
 
@@ -767,13 +737,11 @@ let suite =
     case "declared counter exports as zero" test_declared_zero_in_snapshot;
     case "histogram: domain shards merge = sequential" test_histogram_domain_merge;
     case "handles shared across domains" test_handle_shared_across_domains;
-    case "histogram: merge is associative" test_stats_merge_associative;
     case "span: nesting depth and names" test_span_nesting;
     case "span: closed on exception" test_span_exception_closes;
     case "span: JSON-lines trace events" test_span_trace_events;
     case "span: 1-in-N trace sampling" test_span_sampling_one_in;
-    case "span: token-bucket trace sampling" test_span_sampling_token_bucket;
-    case "span: sampling scoping and reset" test_span_sampling_scoping;
+    case "span: sampling reset and no sink" test_span_sampling_reset;
     case "span: sampling validation" test_span_sampling_validation;
     case "trace: traceparent parse and round-trip" test_trace_parse_roundtrip;
     case "trace: generated ids are well-formed" test_trace_generate;

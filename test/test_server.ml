@@ -748,7 +748,10 @@ let test_heatmap_endpoints () =
    real daemon surface (Cac_api router + Pool over TCP), then a
    /metrics scrape that must carry the per-route telemetry. *)
 
-let test_soak_10k_decides () =
+(* Serve the CAC API (one OC-3 link) from a two-domain pool on an
+   ephemeral loopback port; [f] gets a connected client socket and a
+   decide request for it.  The pool is stopped and joined afterwards. *)
+let with_cac_daemon f =
   let engine = Cac.Engine.create () in
   let (_ : Cac.Link.t) =
     Cac.Engine.add_link_msec engine ~id:"oc3" ~capacity:16140.0
@@ -771,7 +774,6 @@ let test_soak_10k_decides () =
       Fun.protect
         ~finally:(fun () -> close_quietly fd)
         (fun () ->
-          let reader = Io.reader fd in
           let body = {|{"link": "oc3", "class": "dar1"}|} in
           let request =
             Printf.sprintf
@@ -782,31 +784,54 @@ let test_soak_10k_decides () =
                %s"
               (String.length body) body
           in
-          let ok = ref 0 in
-          for _ = 1 to 10_000 do
-            Io.write_string fd request;
-            let st, _, resp = read_response reader in
-            if st = 200 && contains_substring resp "admissible" then incr ok
-          done;
-          check_int "10k keep-alive decides, zero transport errors" 10_000
-            !ok;
-          (* the scrape endpoint reports what just happened *)
-          Io.write_string fd "GET /metrics HTTP/1.1\r\n\r\n";
-          let st, hdrs, metrics = read_response reader in
-          check_int "metrics scrape" 200 st;
-          check_true "prometheus content type"
-            (contains_substring
-               (Option.value ~default:"?"
-                  (List.assoc_opt "content-type" hdrs))
-               "text/plain");
-          check_true "request counter exported"
-            (contains_substring metrics "srv_http_requests_total");
-          check_true "per-route series exported"
-            (contains_substring metrics "route=\"/v1/decide\"");
-          check_true "per-route latency histogram exported"
-            (contains_substring metrics "srv_http_latency_us");
-          check_true "engine counters exported alongside"
-            (contains_substring metrics "cac_cache_hits_total")))
+          f fd request))
+
+let test_pipelined_pairs_no_stall () =
+  with_cac_daemon (fun fd request ->
+      let reader = Io.reader fd in
+      let pair = request ^ request in
+      let started = Obs.Clock.monotonic_ns () in
+      for _ = 1 to 20 do
+        Io.write_string fd pair;
+        for _ = 1 to 2 do
+          let st, _, _ = read_response reader in
+          check_int "pipelined decide" 200 st
+        done
+      done;
+      let ms = Obs.Clock.ns_to_us (Obs.Clock.elapsed_ns ~since:started) /. 1e3 in
+      (* A Nagle-held second response waits out the peer's delayed ACK
+         (~40 ms a pair, 800 ms or more in all). *)
+      if ms >= 400.0 then
+        Alcotest.failf "20 pipelined pairs took %.0f ms (>= 400 ms)" ms)
+
+let test_soak_10k_decides () =
+  with_cac_daemon (fun fd request ->
+      let reader = Io.reader fd in
+      let ok = ref 0 in
+      for _ = 1 to 10_000 do
+        Io.write_string fd request;
+        let st, _, resp = read_response reader in
+        if st = 200 && contains_substring resp "admissible" then incr ok
+      done;
+      check_int "10k keep-alive decides, zero transport errors" 10_000
+        !ok;
+      (* the scrape endpoint reports what just happened *)
+      Io.write_string fd "GET /metrics HTTP/1.1\r\n\r\n";
+      let st, hdrs, metrics = read_response reader in
+      check_int "metrics scrape" 200 st;
+      check_true "prometheus content type"
+        (contains_substring
+           (Option.value ~default:"?"
+              (List.assoc_opt "content-type" hdrs))
+           "text/plain");
+      check_true "request counter exported"
+        (contains_substring metrics "srv_http_requests_total");
+      check_true "per-route series exported"
+        (contains_substring metrics "route=\"/v1/decide\"");
+      check_true "per-route latency histogram exported"
+        (contains_substring metrics "srv_http_latency_us");
+      check_true "engine counters exported alongside"
+        (contains_substring metrics "cac_cache_hits_total"))
 
 let suite =
   [
@@ -841,6 +866,8 @@ let suite =
       test_healthz_liveness_fields;
     case "heatmap: per-buffer rows from live decides"
       test_heatmap_endpoints;
+    case "daemon: pipelined decides do not stall on Nagle"
+      test_pipelined_pairs_no_stall;
     slow_case "daemon: 10k-request loopback soak + metrics scrape"
       test_soak_10k_decides;
   ]

@@ -121,8 +121,9 @@ let micro_tests () =
       (Staged.stage (fun () -> Obs.Registry.incr "bench.obs.keyed"));
     Test.make ~name:"obs_clock_monotonic_ns"
       (Staged.stage Obs.Clock.monotonic_ns);
-    Test.make ~name:"obs_span_null_sink"
-      (Staged.stage (fun () -> Obs.Span.with_ ~name:"bench.obs.span" Fun.id));
+    (let span = Obs.Span.v "bench.obs.span" in
+     Test.make ~name:"obs_span_null_sink"
+       (Staged.stage (fun () -> Obs.Span.with_ span Fun.id)));
     (* The GC-attribution read Srv.Pool brackets every request with —
        benched with no consumer running (the events-off fast path;
        with --events it adds one atomic load).  Starting the consumer

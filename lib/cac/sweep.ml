@@ -116,8 +116,10 @@ let evaluate scenario =
    worker slot (label sets are fixed per worker, so sequential and
    parallel runs export the same instrument names; only the
    per-worker split differs). *)
+let task_span = Obs.Span.v "cac.sweep.task"
+
 let evaluate_instrumented ~worker scenario =
-  Obs.Span.with_ ~name:"cac.sweep.task" @@ fun () ->
+  Obs.Span.with_ task_span @@ fun () ->
   let labels = Obs.Labels.make [ ("worker", string_of_int worker) ] in
   let t0 = Obs.Clock.monotonic_ns () in
   let row = evaluate scenario in
@@ -157,8 +159,10 @@ let evaluate_protected ~task_retries ~worker scenario =
   in
   go 0
 
+let run_span = Obs.Span.v "cac.sweep.run"
+
 let run ?domains ?(task_retries = 1) scenarios =
-  Obs.Span.with_ ~name:"cac.sweep.run" @@ fun () ->
+  Obs.Span.with_ run_span @@ fun () ->
   if task_retries < 0 then invalid_arg "Sweep.run: task_retries < 0";
   let scenarios = Array.of_list scenarios in
   let n = Array.length scenarios in

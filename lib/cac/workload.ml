@@ -113,8 +113,10 @@ let pick_class rng mix =
   in
   scan 0.0 mix
 
+let run_span = Obs.Span.v "cac.workload.run"
+
 let run engine ~link s rng =
-  Obs.Span.with_ ~name:"cac.workload.run" @@ fun () ->
+  Obs.Span.with_ run_span @@ fun () ->
   Obs.Registry.incr "cac.workload.runs";
   Obs.Registry.incr ~by:s.requests "cac.workload.requests";
   let departures = Heap.create () in

@@ -13,7 +13,7 @@ let () =
    trace sink shows per-experiment wall time and the registry grows a
    [span.experiment.<id>.us] histogram. *)
 let run_entry e =
-  Obs.Span.with_ ~name:("experiment." ^ e.id) (fun () ->
+  Obs.Span.with_ (Obs.Span.v ("experiment." ^ e.id)) (fun () ->
       Obs.Registry.incr "experiments.runs";
       match e.run () with
       | () -> ()

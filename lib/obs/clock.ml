@@ -1,29 +1,22 @@
 let wall = Unix.gettimeofday
 
-(* Real CLOCK_MONOTONIC via a C stub (clock_stubs.c).  Platforms
-   without it fall back to the wall clock clamped non-decreasing per
-   domain — good enough for span durations (microsecond resolution,
-   immune to small backwards steps), but not immune to large NTP
-   slews the way the real monotonic clock is. *)
+(* Real CLOCK_MONOTONIC via a C stub (clock_stubs.c), unboxed and
+   noalloc.  Platforms without it fall back (inside the stub) to the
+   wall clock clamped non-decreasing per domain — good enough for span
+   durations (microsecond resolution, immune to small backwards
+   steps), but not immune to large NTP slews the way the real
+   monotonic clock is. *)
 external monotonic_available_stub : unit -> bool = "cts_clock_monotonic_available"
-external monotonic_ns_stub : unit -> int64 = "cts_clock_monotonic_ns"
+
+external monotonic_ns : unit -> (int64[@unboxed])
+  = "cts_clock_monotonic_ns_byte" "cts_clock_monotonic_ns"
+[@@noalloc]
 
 let have_monotonic = monotonic_available_stub ()
 
 let source () =
   if have_monotonic then "clock_gettime(CLOCK_MONOTONIC)"
   else "gettimeofday(clamped)"
-
-let last_ns : int64 Domain.DLS.key = Domain.DLS.new_key (fun () -> 0L)
-
-let fallback_ns () =
-  let now = Int64.of_float (Unix.gettimeofday () *. 1e9) in
-  let prev = Domain.DLS.get last_ns in
-  let now = if Int64.compare now prev < 0 then prev else now in
-  Domain.DLS.set last_ns now;
-  now
-
-let monotonic_ns () = if have_monotonic then monotonic_ns_stub () else fallback_ns ()
 
 let elapsed_ns ~since = Int64.sub (monotonic_ns ()) since
 let ns_to_us ns = Int64.to_float ns /. 1e3

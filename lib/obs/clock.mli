@@ -9,10 +9,13 @@
 val wall : unit -> float
 (** Seconds since the epoch ([Unix.gettimeofday]). *)
 
-val monotonic_ns : unit -> int64
+external monotonic_ns : unit -> (int64[@unboxed])
+  = "cts_clock_monotonic_ns_byte" "cts_clock_monotonic_ns"
+[@@noalloc]
 (** Nanoseconds, non-decreasing within the calling domain.  Backed by
     [clock_gettime(CLOCK_MONOTONIC)] when available ({!source}); the
-    epoch is unspecified — only differences are meaningful. *)
+    epoch is unspecified — only differences are meaningful.  The read
+    itself allocates nothing: the stub returns an unboxed [int64]. *)
 
 val source : unit -> string
 (** Which backend [monotonic_ns] uses:

@@ -7,28 +7,40 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let hex_digits = "0123456789abcdef"
+
+let escape_char buf = function
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | c when Char.code c < 0x20 ->
+      (* \u00XX, lowercase hex *)
+      Buffer.add_string buf "\\u00";
+      Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+      Buffer.add_char buf hex_digits.[Char.code c land 0xf]
+  | c -> Buffer.add_char buf c
+
+(* Escapes [s] straight into [buf]; a string with nothing to escape —
+   the common case — is copied whole, with no intermediate string. *)
+let add_escaped buf s =
+  if String.exists needs_escape s then String.iter (escape_char buf) s
+  else Buffer.add_string buf s
+
+(* The C formatter behind [Printf]'s %g, called directly: the same
+   bytes without the format interpreter's allocation. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let float_repr x =
   (* Shortest representation that round-trips; JSON has no non-finite
-     literals, so those become null at the call site. *)
-  let s = Printf.sprintf "%.17g" x in
-  let shorter = Printf.sprintf "%.12g" x in
-  if Float.equal (float_of_string shorter) x then shorter else s
+     literals, so those become null at the call site.  %.17g always
+     round-trips, so it is only formatted when %.12g does not. *)
+  let shorter = format_float "%.12g" x in
+  if Float.equal (float_of_string shorter) x then shorter
+  else format_float "%.17g" x
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
@@ -39,7 +51,7 @@ let rec write buf = function
       else Buffer.add_string buf "null"
   | String s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      add_escaped buf s;
       Buffer.add_char buf '"'
   | List items ->
       Buffer.add_char buf '[';
@@ -55,7 +67,7 @@ let rec write buf = function
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
+          add_escaped buf k;
           Buffer.add_string buf "\":";
           write buf v)
         fields;

@@ -1,23 +1,54 @@
+(* A span handle names one span site and resolves its [span.<name>.us]
+   histogram once, on its first completion — not at [v], so a site
+   that never runs adds no zero series to exports.  The histogram's
+   bin layout is fixed at [v], which also validates the name. *)
+type t = { name : string; hist_name : string; mutable hist : Registry.Histogram.t option }
+
+let duration_histogram_bins = (0.0, 1_000_000.0, 60)
+(* span durations: 0–1 s in µs, 60 bins; slower spans overflow. *)
+
+let v name =
+  let hist_name = "span." ^ name ^ ".us" in
+  let lo, hi, bins = duration_histogram_bins in
+  Registry.set_histogram_spec ~lo ~hi ~bins hist_name;
+  { name; hist_name; hist = None }
+
+let histogram span =
+  match span.hist with
+  | Some h -> h
+  | None ->
+      (* Two domains racing here both bind a handle to the same series;
+         either store is fine. *)
+      let lo, hi, bins = duration_histogram_bins in
+      let h = Registry.Histogram.v ~lo ~hi ~bins span.hist_name in
+      span.hist <- Some h;
+      h
+
+(* An open span.  Ids are "d<domain>:<seq>", but a frame keeps only the
+   ints: the strings are built when a live trace sink emits, never on
+   the [Null]-sink path.  A parent is always on the same domain's
+   stack, so its sequence number alone identifies it. *)
 type frame = {
-  id : string;
-  name : string;
-  parent : string option;
+  span : t;
+  seq : int;
+  parent_seq : int;  (* -1 for a root span *)
   depth : int;
-  start_wall : float;
-  start_mono : int64;
-  trace : string option;
-      (* trace id active at [enter] — correlates the span tree of one
-         served request across domains and with its exemplars *)
+  start_ns : int;
+  trace : Trace.t option;
+      (* trace context active at entry — correlates the span tree of
+         one served request across domains and with its exemplars *)
 }
 
-(* Per-domain span stack and id sequence; ids are "d<domain>:<seq>" so
-   traces from parallel sweeps interleave without colliding. *)
-let stack : frame list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-let seq : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+(* Per-domain span stack and id sequence, so traces from parallel
+   sweeps interleave without colliding. *)
+type state = { domain : int; mutable next_seq : int; mutable stack : frame list }
+
+let state : state Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { domain = (Domain.self () :> int); next_seq = 0; stack = [] })
 
 let trace_sink = Atomic.make Sink.Null
 let set_trace_sink s = Atomic.set trace_sink s
-let current_trace_sink () = Atomic.get trace_sink
 
 (* Ring bridge: when installed (by Obs.Events with the span bridge
    enabled), every span enter/exit is re-emitted as a runtime_events
@@ -69,78 +100,72 @@ let should_emit name =
   if not emit then Registry.incr "obs.span.sampled_out";
   emit
 
-let current_depth () = List.length !(Domain.DLS.get stack)
-let current () = match !(Domain.DLS.get stack) with [] -> None | f :: _ -> Some f
-let current_name () = Option.map (fun f -> f.name) (current ())
+let current_depth () = List.length (Domain.DLS.get state).stack
 
-let duration_histogram_bins = (0.0, 1_000_000.0, 60)
-(* span durations: 0–1 s in µs, 60 bins; slower spans overflow. *)
+let current_name () =
+  match (Domain.DLS.get state).stack with [] -> None | f :: _ -> Some f.span.name
 
-let enter name =
-  let st = Domain.DLS.get stack in
-  let sq = Domain.DLS.get seq in
-  incr sq;
-  let parent, depth =
-    match !st with [] -> (None, 0) | p :: _ -> (Some p.id, p.depth + 1)
+let now_ns () = Int64.to_int (Clock.monotonic_ns ())
+
+let enter st span =
+  st.next_seq <- st.next_seq + 1;
+  let parent_seq, depth =
+    match st.stack with [] -> (-1, 0) | p :: _ -> (p.seq, p.depth + 1)
   in
   let frame =
-    {
-      id = Printf.sprintf "d%d:%d" (Domain.self () :> int) !sq;
-      name;
-      parent;
-      depth;
-      start_wall = Clock.wall ();
-      start_mono = Clock.monotonic_ns ();
-      trace = Trace.current_trace_id ();
-    }
+    { span; seq = st.next_seq; parent_seq; depth; start_ns = now_ns (); trace = Trace.current () }
   in
-  st := frame :: !st;
-  (match Atomic.get ring_bridge with None -> () | Some f -> f name true);
+  st.stack <- frame :: st.stack;
+  (match Atomic.get ring_bridge with None -> () | Some f -> f span.name true);
   frame
 
-let exit_ frame ~ok =
-  let st = Domain.DLS.get stack in
-  (match !st with
-  | top :: rest when top == frame -> st := rest
-  | _ ->
+let id st seq = "d" ^ string_of_int st.domain ^ ":" ^ string_of_int seq
+
+(* The completion event.  The wall clock is read here, only for a live
+   sink: the span started [dur] before now. *)
+let emit sink st frame ~dur_ns ~ok =
+  let wall_dur = float_of_int dur_ns /. 1e9 in
+  Sink.emit sink
+    (Sink.event
+       ~time:(Clock.wall () -. wall_dur)
+       ~kind:"span" ~name:frame.span.name
+       [
+         ("id", Json.String (id st frame.seq));
+         ( "parent",
+           if frame.parent_seq < 0 then Json.Null
+           else Json.String (id st frame.parent_seq) );
+         ("depth", Json.Int frame.depth);
+         ( "trace",
+           match frame.trace with
+           | Some ctx -> Json.String ctx.Trace.trace_id
+           | None -> Json.Null );
+         ("dur_us", Json.Float (float_of_int dur_ns /. 1e3));
+         ("wall_dur_s", Json.Float wall_dur);
+         ("ok", Json.Bool ok);
+       ])
+
+let exit_ st frame ~ok =
+  (match st.stack with
+  | top :: rest when top == frame -> st.stack <- rest
+  | stack ->
       (* Unbalanced exit (an inner span escaped): just remove the frame. *)
-      st := List.filter (fun f -> not (f == frame)) !st);
+      st.stack <- List.filter (fun f -> not (f == frame)) stack);
   (match Atomic.get ring_bridge with
   | None -> ()
-  | Some f -> f frame.name false);
-  let dur_us = Clock.ns_to_us (Clock.elapsed_ns ~since:frame.start_mono) in
-  let wall_dur = Clock.wall () -. frame.start_wall in
-  let lo, hi, bins = duration_histogram_bins in
-  Registry.declare_histogram ~lo ~hi ~bins ("span." ^ frame.name ^ ".us");
-  Registry.observe ("span." ^ frame.name ^ ".us") dur_us;
+  | Some f -> f frame.span.name false);
+  let dur_ns = now_ns () - frame.start_ns in
+  Registry.Histogram.observe (histogram frame.span) (float_of_int dur_ns /. 1e3);
   match Atomic.get trace_sink with
   | Sink.Null -> ()
-  | sink when not (should_emit frame.name) -> ignore sink
-  | sink ->
-      Sink.emit sink
-        (Sink.event ~time:frame.start_wall ~kind:"span" ~name:frame.name
-           [
-             ("id", Json.String frame.id);
-             ( "parent",
-               match frame.parent with
-               | Some p -> Json.String p
-               | None -> Json.Null );
-             ("depth", Json.Int frame.depth);
-             ( "trace",
-               match frame.trace with
-               | Some tid -> Json.String tid
-               | None -> Json.Null );
-             ("dur_us", Json.Float dur_us);
-             ("wall_dur_s", Json.Float wall_dur);
-             ("ok", Json.Bool ok);
-           ])
+  | sink -> if should_emit frame.span.name then emit sink st frame ~dur_ns ~ok
 
-let with_ ~name fn =
-  let frame = enter name in
+let with_ span fn =
+  let st = Domain.DLS.get state in
+  let frame = enter st span in
   match fn () with
   | v ->
-      exit_ frame ~ok:true;
+      exit_ st frame ~ok:true;
       v
   | exception e ->
-      exit_ frame ~ok:false;
+      exit_ st frame ~ok:false;
       raise e

@@ -1,25 +1,35 @@
 (** Nested span tracing.
 
-    [with_ ~name fn] times [fn ()] (monotonic for the duration, wall
-    clock for the timestamp), maintains a per-domain parent/child
-    stack, feeds the duration into the registry histogram
-    [span.<name>.us] (0–1 s range in microseconds, 60 bins), and — when
-    a trace sink is installed — emits one completion event per span
-    carrying its id, parent id, nesting depth, durations, and the
+    A span site is a handle, [let span = Span.v "cac.api.decide"],
+    bound once (like {!Registry.Counter.v}).  [with_ span fn] times
+    [fn ()] on the monotonic clock, maintains a per-domain
+    parent/child stack, feeds the duration into the registry histogram
+    [span.<name>.us] (0–1 s range in microseconds, 60 bins), and —
+    when a trace sink is installed — emits one completion event per
+    span carrying its id, parent id, nesting depth, durations, and the
     {!Trace} id active when the span was entered (so every span of one
     served request shares a [trace] field in the JSONL sink).
 
-    With the default [Null] trace sink the cost is two clock reads and
-    one histogram update per span. *)
+    With the default [Null] trace sink a span costs two monotonic
+    clock reads, one stack push and one histogram update: ids, parent
+    ids and the wall-clock timestamp are only built when a live sink
+    emits. *)
 
-val with_ : name:string -> (unit -> 'a) -> 'a
+type t
+(** A span site: its name and its resolved duration histogram. *)
+
+val v : string -> t
+(** [v name] binds the site [name].  Fixes the bin layout of
+    [span.<name>.us] (raising [Invalid_argument] if that is not a valid
+    instrument name); the series itself appears in exports on the
+    first completion. *)
+
+val with_ : t -> (unit -> 'a) -> 'a
 (** Exceptions propagate; the span is closed (with [ok=false]) first. *)
 
 val set_trace_sink : Sink.t -> unit
 (** Install the destination for span-completion events (default
     [Null]).  Shared by all domains. *)
-
-val current_trace_sink : unit -> Sink.t
 
 val set_ring_bridge : (string -> bool -> unit) option -> unit
 (** Install (or remove, with [None]) the runtime-events ring bridge:

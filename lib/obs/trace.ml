@@ -94,7 +94,8 @@ let parse_traceparent raw =
     in
     if well_formed && length_ok then Some { trace_id; span_id } else None
 
-let to_traceparent t = "00-" ^ t.trace_id ^ "-" ^ t.span_id ^ "-01"
+let to_traceparent t =
+  String.concat "-" [ "00"; t.trace_id; t.span_id; "01" ]
 
 (* {2 The per-domain current context} *)
 
@@ -102,13 +103,16 @@ let context : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref No
 
 let current () = !(Domain.DLS.get context)
 
-let current_trace_id () =
-  match current () with Some c -> Some c.trace_id | None -> None
-
 let set ctx = Domain.DLS.get context := ctx
 
 let with_context ctx f =
   let cell = Domain.DLS.get context in
   let saved = !cell in
   cell := Some ctx;
-  Fun.protect ~finally:(fun () -> cell := saved) f
+  match f () with
+  | v ->
+      cell := saved;
+      v
+  | exception e ->
+      cell := saved;
+      raise e

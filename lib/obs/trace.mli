@@ -27,9 +27,6 @@ val to_traceparent : t -> string
 val current : unit -> t option
 (** The calling domain's current context, if any. *)
 
-val current_trace_id : unit -> string option
-(** [current]'s trace id alone — the exemplar/span hot path. *)
-
 val set : t option -> unit
 (** Overwrite the calling domain's context.  Prefer [with_context]
     for scoped use. *)

@@ -87,13 +87,13 @@ let link_class t req k =
         (Printf.sprintf "unknown class %S (known: %s)" cls_name
            (String.concat ", " Cac.Source_class.names))
   | Some cls ->
-      if
-        not
-          (with_engine t (fun e ->
-               List.exists
-                 (fun l -> String.equal (Cac.Link.id l) link)
-                 (Cac.Engine.links e)))
-      then Http.json_error ~status:404 (Printf.sprintf "unknown link %S" link)
+      let known e =
+        match Cac.Engine.link e link with
+        | _ -> true
+        | exception Invalid_argument _ -> false
+      in
+      if not (with_engine t known) then
+        Http.json_error ~status:404 (Printf.sprintf "unknown link %S" link)
       else k ~link ~cls
 
 (* {2 Encoding} *)
@@ -124,11 +124,15 @@ let verdict_json (v : Cac.Engine.verdict) =
    tree (request → api handler → engine/kernel spans), all stamped
    with the same trace id. *)
 
+let decide_span = Obs.Span.v "cac.api.decide"
+let admit_span = Obs.Span.v "cac.api.admit"
+let release_span = Obs.Span.v "cac.api.release"
+
 let not_ready () =
   Http.json_error ~status:503 "recovering: state replay in progress"
 
 let decide t req =
-  Obs.Span.with_ ~name:"cac.api.decide" @@ fun () ->
+  Obs.Span.with_ decide_span @@ fun () ->
   if not (ready t) then not_ready ()
   else
   link_class t req @@ fun ~link ~cls ->
@@ -143,7 +147,7 @@ let decide t req =
   Http.json (verdict_json verdict)
 
 let admit t req =
-  Obs.Span.with_ ~name:"cac.api.admit" @@ fun () ->
+  Obs.Span.with_ admit_span @@ fun () ->
   if not (ready t) then not_ready ()
   else
   link_class t req @@ fun ~link ~cls ->
@@ -169,7 +173,7 @@ let admit t req =
            ])
 
 let release t req =
-  Obs.Span.with_ ~name:"cac.api.release" @@ fun () ->
+  Obs.Span.with_ release_span @@ fun () ->
   if not (ready t) then not_ready ()
   else
   let* doc = body_json req in

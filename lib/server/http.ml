@@ -39,13 +39,17 @@ type request = {
 let header req name =
   List.assoc_opt (String.lowercase_ascii name) req.headers
 
+(* Header names are stored lowercased, so lookups by a lowercase
+   literal need no case folding. *)
 let traceparent req =
-  match header req "traceparent" with
+  match List.assoc_opt "traceparent" req.headers with
   | None -> None
   | Some v -> Obs.Trace.parse_traceparent v
 
 let keep_alive req =
-  match Option.map String.lowercase_ascii (header req "connection") with
+  match
+    Option.map String.lowercase_ascii (List.assoc_opt "connection" req.headers)
+  with
   | Some "close" -> false
   | Some "keep-alive" -> true
   | Some _ | None -> ( match req.version with Http_1_1 -> true | Http_1_0 -> false)
@@ -240,16 +244,21 @@ let json ?(status = 200) doc =
 let json_error ~status reason =
   json ~status (Obs.Json.Obj [ ("error", Obs.Json.String reason) ])
 
+let add_header_line b (k, v) =
+  Buffer.add_string b k;
+  Buffer.add_string b ": ";
+  Buffer.add_string b v;
+  Buffer.add_string b "\r\n"
+
 let to_string ~keep_alive:ka resp =
   let b = Buffer.create (256 + String.length resp.body) in
-  Buffer.add_string b
-    (Printf.sprintf "HTTP/1.1 %d %s\r\n" resp.status
-       (reason_phrase resp.status));
-  List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\r\n" k v))
-    resp.resp_headers;
-  Buffer.add_string b
-    (Printf.sprintf "content-length: %d\r\n" (String.length resp.body));
+  Buffer.add_string b "HTTP/1.1 ";
+  Buffer.add_string b (string_of_int resp.status);
+  Buffer.add_char b ' ';
+  Buffer.add_string b (reason_phrase resp.status);
+  Buffer.add_string b "\r\n";
+  List.iter (add_header_line b) resp.resp_headers;
+  add_header_line b ("content-length", string_of_int (String.length resp.body));
   Buffer.add_string b
     (if ka then "connection: keep-alive\r\n" else "connection: close\r\n");
   Buffer.add_string b "\r\n";

@@ -70,7 +70,7 @@ exception Line_too_long
    [None] on a clean EOF before any byte of the line; EOF mid-line
    raises [Closed]; more than [max] bytes before the terminator raises
    [Line_too_long]. *)
-let read_line r ~max deadline =
+let read_line_slow r ~max deadline =
   let line = Buffer.create 128 in
   let rec go started =
     match read_byte r deadline with
@@ -85,6 +85,27 @@ let read_line r ~max deadline =
         go true
   in
   go false
+
+let rec buffered_newline r i =
+  if i >= r.len then -1
+  else if Bytes.get r.buf i = '\n' then i
+  else buffered_newline r (i + 1)
+
+(* Fast path: the whole line, terminator included, is already
+   buffered, so it is sliced straight out of [buf].  Same results as
+   the byte loop: the [max] cap counts every byte before the '\n'
+   (a '\r' included). *)
+let read_line r ~max deadline =
+  let nl = buffered_newline r r.pos in
+  if nl < 0 then read_line_slow r ~max deadline
+  else begin
+    let n = nl - r.pos in
+    if n > max then raise Line_too_long;
+    let n' = if n > 0 && Bytes.get r.buf (nl - 1) = '\r' then n - 1 else n in
+    let line = Bytes.sub_string r.buf r.pos n' in
+    r.pos <- nl + 1;
+    Some line
+  end
 
 (* Exactly [n] bytes; raises [Closed] if the peer quits early. *)
 let read_exact r n deadline =

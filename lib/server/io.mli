@@ -32,7 +32,10 @@ val reader : ?buf_size:int -> Unix.file_descr -> reader
 val read_line : reader -> max:int -> deadline -> string option
 (** One line, CRLF or LF terminated, terminator stripped.  [None] on
     clean EOF before the first byte; raises {!Closed} on EOF mid-line
-    and {!Line_too_long} past [max] bytes. *)
+    and {!Line_too_long} past [max] bytes ([max] counts every byte
+    before the ['\n'], a ['\r'] included).  A line already whole in
+    the buffer is sliced out in one copy; otherwise it is read byte by
+    byte across refills. *)
 
 val read_exact : reader -> int -> deadline -> string
 (** Exactly [n] bytes; raises {!Closed} on early EOF. *)

@@ -30,10 +30,11 @@ let default_config =
 
 (* {2 Telemetry}
 
-   Keyed updates (not handles): every update here is adjacent to a
-   syscall, so the hash cost is noise.  The latency histogram is only
-   ever recorded with a [route] label; fix its shape without
-   declaring an unlabelled zero series. *)
+   The per-request instruments are handles (see [metrics] below); the
+   rest are keyed updates adjacent to a syscall, where the hash cost is
+   noise.  The per-route histograms are only ever recorded with a
+   [route] label; fix their shape without declaring an unlabelled zero
+   series. *)
 
 let () =
   Obs.Registry.declare_counter "srv.http.requests";
@@ -50,6 +51,104 @@ let () =
     "srv.http.queue_wait.us";
   Obs.Registry.set_histogram_spec ~lo:0.0 ~hi:100_000.0 ~bins:50
     "srv.http.gc_pause.us"
+
+let request_span = Obs.Span.v "srv.http.request"
+
+(* The [method] label of [srv.http.requests]: a request line may carry
+   any token as its method, so everything outside the standard set
+   shares one ["other"] bucket and the series count stays bounded.
+   The access log keeps the raw method. *)
+let meth_label = function
+  | Http.Other _ -> "other"
+  | m -> Http.meth_name m
+
+(* Per-route handles, bound the first time a route label is served so
+   a route that never runs adds no zero series.  Route labels are
+   bounded (router paths plus the unmatched bucket), and so are method
+   labels and statuses; each table is an immutable association list
+   published through an Atomic: lookups take no lock, and an insert
+   that loses a race just binds a second handle to the same series. *)
+
+type route_metrics = {
+  latency : Obs.Registry.Histogram.t;
+  queue_wait : Obs.Registry.Histogram.t;
+  route_labels : Obs.Labels.t;
+  mutable gc_pause : Obs.Registry.Histogram.t option;
+      (* bound once an Obs.Events consumer runs; not a [Lazy.t], which
+         raises when two domains force it at once *)
+}
+
+type metrics = {
+  requests : Obs.Registry.Counter.t;
+  in_flight : Obs.Registry.Gauge.t;
+  routes : (string * route_metrics) list Atomic.t;
+  by_status : (string * string * int * Obs.Registry.Counter.t) list Atomic.t;
+      (* (route, method label, status, counter) *)
+}
+
+let metrics_create () =
+  {
+    requests = Obs.Registry.Counter.v "srv.http.requests";
+    in_flight = Obs.Registry.Gauge.v "srv.http.in_flight";
+    routes = Atomic.make [];
+    by_status = Atomic.make [];
+  }
+
+(* Prepend [entry] unless another domain published first; either way
+   the caller retries its lookup. *)
+let publish table bound entry =
+  ignore (Atomic.compare_and_set table bound (entry :: bound))
+
+let rec find_route route = function
+  | [] -> raise Not_found
+  | (r, rm) :: rest -> if String.equal r route then rm else find_route route rest
+
+let rec route_metrics m route =
+  let bound = Atomic.get m.routes in
+  match find_route route bound with
+  | rm -> rm
+  | exception Not_found ->
+      let labels = Obs.Labels.make [ ("route", route) ] in
+      publish m.routes bound
+        ( route,
+          {
+            latency = Obs.Registry.Histogram.v ~labels "srv.http.latency_us";
+            queue_wait = Obs.Registry.Histogram.v ~labels "srv.http.queue_wait.us";
+            route_labels = labels;
+            gc_pause = None;
+          } );
+      route_metrics m route
+
+let gc_pause_histogram rm =
+  match rm.gc_pause with
+  | Some h -> h
+  | None ->
+      let h = Obs.Registry.Histogram.v ~labels:rm.route_labels "srv.http.gc_pause.us" in
+      rm.gc_pause <- Some h;
+      h
+
+let rec find_status ~route ~meth ~status = function
+  | [] -> raise Not_found
+  | (r, me, st, c) :: rest ->
+      if st = status && String.equal r route && String.equal me meth then c
+      else find_status ~route ~meth ~status rest
+
+let rec status_counter m ~route ~meth ~status =
+  let bound = Atomic.get m.by_status in
+  match find_status ~route ~meth ~status bound with
+  | c -> c
+  | exception Not_found ->
+      let labels =
+        Obs.Labels.make
+          [ ("route", route); ("method", meth); ("status", string_of_int status) ]
+      in
+      publish m.by_status bound
+        (route, meth, status, Obs.Registry.Counter.v ~labels "srv.http.requests");
+      status_counter m ~route ~meth ~status
+
+let incr_requests m ~route ~meth ~status =
+  Obs.Registry.Counter.incr m.requests;
+  Obs.Registry.Counter.incr (status_counter m ~route ~meth ~status)
 
 (* {2 Bounded work queue}
 
@@ -108,6 +207,7 @@ type t = {
   work : queue;
   stop_flag : bool Atomic.t;  (** set from a signal handler: only an Atomic write *)
   accepting : bool Atomic.t;
+  metrics : metrics;
 }
 
 let create ?(config = default_config) router =
@@ -125,6 +225,7 @@ let create ?(config = default_config) router =
     work = queue_create config.queue_capacity;
     stop_flag = Atomic.make false;
     accepting = Atomic.make false;
+    metrics = metrics_create ();
   }
 
 let stop t = Atomic.set t.stop_flag true
@@ -134,39 +235,34 @@ let accepting t = Atomic.get t.accepting
 
 (* {2 Request handling} *)
 
-let incr_requests ~route ~meth ~status =
-  Obs.Registry.incr "srv.http.requests";
-  Obs.Registry.incr
-    ~labels:
-      (Obs.Labels.make
-         [
-           ("route", route);
-           ("method", meth);
-           ("status", string_of_int status);
-         ])
-    "srv.http.requests"
-
 (* One structured access-log line per request.  The sink resolves per
    line: by default the process-wide human sink (so [--quiet], a Null
    human sink, silences it), or [config.access_sink]'s current value —
    which is how SIGHUP-driven log rotation swaps the file under a
-   running pool without tearing requests. *)
-let access_log_line ~sink ~ctx ~req ~status ~us ~queue_wait_us ~gc_pause_us =
-  Obs.Sink.message
-    (match sink with None -> Obs.Sink.human_sink () | Some f -> f ())
-    (Obs.Json.to_string
-       (Obs.Json.Obj
-          [
-            ("ts", Obs.Json.Float (Obs.Clock.wall ()));
-            ("kind", Obs.Json.String "access");
-            ("method", Obs.Json.String (Http.meth_name req.Http.meth));
-            ("path", Obs.Json.String req.Http.path);
-            ("status", Obs.Json.Int status);
-            ("us", Obs.Json.Float us);
-            ("queue_wait_us", Obs.Json.Float queue_wait_us);
-            ("gc_pause_us", Obs.Json.Float gc_pause_us);
-            ("trace", Obs.Json.String ctx.Obs.Trace.trace_id);
-          ]))
+   running pool without tearing requests.  It resolves {e before} the
+   line is built: a [Null] sink costs no JSON at all. *)
+let access_log t ~ctx ~req ~status ~us ~queue_wait_us ~gc_pause_us =
+  match
+    match t.config.access_sink with
+    | None -> Obs.Sink.human_sink ()
+    | Some f -> f ()
+  with
+  | Obs.Sink.Null -> ()
+  | sink ->
+      Obs.Sink.message sink
+        (Obs.Json.to_string
+           (Obs.Json.Obj
+              [
+                ("ts", Obs.Json.Float (Obs.Clock.wall ()));
+                ("kind", Obs.Json.String "access");
+                ("method", Obs.Json.String (Http.meth_name req.Http.meth));
+                ("path", Obs.Json.String req.Http.path);
+                ("status", Obs.Json.Int status);
+                ("us", Obs.Json.Float us);
+                ("queue_wait_us", Obs.Json.Float queue_wait_us);
+                ("gc_pause_us", Obs.Json.Float gc_pause_us);
+                ("trace", Obs.Json.String ctx.Obs.Trace.trace_id);
+              ]))
 
 (* Dispatch one parsed request: the [srv.http.handler] fault point
    fires first (chaos testing of the serving path itself), then the
@@ -178,17 +274,13 @@ let access_log_line ~sink ~ctx ~req ~status ~us ~queue_wait_us ~gc_pause_us =
    [srv.http.request] span, every span the handler opens, and every
    histogram exemplar recorded on this domain share one trace id; the
    response echoes it in [traceparent]. *)
-let handle_request t ~queue_wait_us req =
-  Obs.Registry.add_gauge "srv.http.in_flight" 1.0;
+let dispatch t ~queue_wait_us req =
   let t0 = Obs.Clock.monotonic_ns () in
   (* GC attribution: the consumer's cumulative pause clock for this
      worker domain, read on both sides of the dispatch.  The delta is
      collector time that overlapped this request (late by at most one
      consumer poll interval; 0 when no [Obs.Events] consumer runs). *)
   let gc0 = Obs.Events.cumulative_pause_ns () in
-  Fun.protect ~finally:(fun () ->
-      Obs.Registry.add_gauge "srv.http.in_flight" (-1.0))
-  @@ fun () ->
   let route = Router.label t.router req in
   let ctx =
     match Http.traceparent req with
@@ -197,7 +289,7 @@ let handle_request t ~queue_wait_us req =
   in
   Obs.Trace.with_context ctx @@ fun () ->
   let resp =
-    Obs.Span.with_ ~name:"srv.http.request" @@ fun () ->
+    Obs.Span.with_ request_span @@ fun () ->
     Resilience.Guard.protect ~label:"srv.http.handler"
       ~fallback:(fun _exn ->
         Obs.Registry.incr "srv.http.handler_errors";
@@ -207,7 +299,7 @@ let handle_request t ~queue_wait_us req =
         snd (Router.dispatch t.router req))
   in
   let status = Http.status resp in
-  incr_requests ~route ~meth:(Http.meth_name req.Http.meth) ~status;
+  incr_requests t.metrics ~route ~meth:(meth_label req.Http.meth) ~status;
   let us = Obs.Clock.ns_to_us (Obs.Clock.elapsed_ns ~since:t0) in
   let gc_pause_us =
     let us = float_of_int (Obs.Events.cumulative_pause_ns () - gc0) /. 1e3 in
@@ -215,17 +307,25 @@ let handle_request t ~queue_wait_us req =
        clamp rather than poison the histogram. *)
     if Float.is_finite us && us >= 0.0 then us else 0.0
   in
-  let route_labels = Obs.Labels.make [ ("route", route) ] in
-  Obs.Registry.observe ~labels:route_labels "srv.http.latency_us" us;
-  Obs.Registry.observe ~labels:route_labels "srv.http.queue_wait.us"
-    queue_wait_us;
+  let rm = route_metrics t.metrics route in
+  Obs.Registry.Histogram.observe rm.latency us;
+  Obs.Registry.Histogram.observe rm.queue_wait queue_wait_us;
   if Obs.Events.running () then
-    Obs.Registry.observe ~labels:route_labels "srv.http.gc_pause.us"
-      gc_pause_us;
+    Obs.Registry.Histogram.observe (gc_pause_histogram rm) gc_pause_us;
   if t.config.access_log then
-    access_log_line ~sink:t.config.access_sink ~ctx ~req ~status ~us
-      ~queue_wait_us ~gc_pause_us;
+    access_log t ~ctx ~req ~status ~us ~queue_wait_us ~gc_pause_us;
   Http.add_header resp ("traceparent", Obs.Trace.to_traceparent ctx)
+
+let handle_request t ~queue_wait_us req =
+  let in_flight = t.metrics.in_flight in
+  Obs.Registry.Gauge.add in_flight 1.0;
+  match dispatch t ~queue_wait_us req with
+  | resp ->
+      Obs.Registry.Gauge.add in_flight (-1.0);
+      resp
+  | exception e ->
+      Obs.Registry.Gauge.add in_flight (-1.0);
+      raise e
 
 (* Serve every request a connection carries, then close it.  The
    keep-alive budget ([Guard.Budget]) bounds requests per connection;
@@ -251,7 +351,8 @@ let serve_connection t ~queue_wait_us fd =
         | Http.Eof -> ()
         | Http.Error { status; reason } ->
             Obs.Registry.incr "srv.http.parse_errors";
-            incr_requests ~route:Router.unmatched_label ~meth:"-" ~status;
+            incr_requests t.metrics ~route:Router.unmatched_label ~meth:"-"
+              ~status;
             Http.write fd ~keep_alive:false
               (Http.json_error ~status reason)
         | Http.Request req ->
@@ -296,9 +397,9 @@ let bound_port fd =
 (* The overload answer, written from the accept loop itself: the
    queue is full, so the connection is refused in O(1) without
    touching a worker. *)
-let shed fd =
+let shed t fd =
   Obs.Registry.incr "srv.http.shed";
-  incr_requests ~route:Router.unmatched_label ~meth:"-" ~status:503;
+  incr_requests t.metrics ~route:Router.unmatched_label ~meth:"-" ~status:503;
   (try
      Http.write fd ~keep_alive:false
        (Http.response
@@ -381,7 +482,7 @@ let serve t listen_fd =
                 not
                   (queue_push t.work
                      (Conn (fd, Obs.Clock.monotonic_ns ())))
-              then shed fd)
+              then shed t fd)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       accept_loop ()
     end

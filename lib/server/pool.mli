@@ -21,7 +21,8 @@
     {2 Telemetry}
 
     [srv.http.requests] (total and per
-    [{route,method,status}]), [srv.http.latency_us] and
+    [{route,method,status}], with every non-standard method in one
+    ["other"] bucket), [srv.http.latency_us] and
     [srv.http.queue_wait.us] per route, [srv.http.in_flight],
     [srv.http.queue_depth], [srv.http.queue_occupancy] (depth /
     capacity), [srv.http.connections], [srv.http.shed],
@@ -46,6 +47,8 @@
     [config.access_sink] (resolved per line, so the daemon can rotate
     the log on SIGHUP by swapping the sink the thunk returns); when
     unset, {!Obs.Sink.human_sink} is used, which [--quiet] silences.
+    The sink is resolved before the line is built: under a [Null]
+    sink no line is built.
 
     {2 Housekeeping tick}
 

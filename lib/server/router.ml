@@ -27,20 +27,23 @@ let routes t = List.map (fun r -> (r.meth, r.path)) t.routes
    explode the label-set cardinality. *)
 let unmatched_label = "unmatched"
 
+let rec find_route (req : Http.request) = function
+  | [] -> None
+  | r :: rest ->
+      if String.equal r.path req.Http.path && Http.meth_equal r.meth req.Http.meth
+      then Some r
+      else find_route req rest
+
 let find t (req : Http.request) =
-  let matching_path =
-    List.filter (fun r -> String.equal r.path req.Http.path) t.routes
-  in
-  match
-    List.find_opt (fun r -> Http.meth_equal r.meth req.Http.meth) matching_path
-  with
+  match find_route req t.routes with
   | Some r -> Ok r
-  | None ->
-      if matching_path = [] then Stdlib.Error `Not_found
-      else
-        Stdlib.Error
-          (`Method_not_allowed
-            (List.map (fun r -> Http.meth_name r.meth) matching_path))
+  | None -> (
+      match List.filter (fun r -> String.equal r.path req.Http.path) t.routes with
+      | [] -> Stdlib.Error `Not_found
+      | matching_path ->
+          Stdlib.Error
+            (`Method_not_allowed
+              (List.map (fun r -> Http.meth_name r.meth) matching_path)))
 
 let label t (req : Http.request) =
   match find t req with

@@ -85,7 +85,7 @@ let test_bridge_roundtrip () =
       Runtime_events.free_cursor cursor;
       Obs.Events.stop t)
     (fun () ->
-      Obs.Span.with_ ~name:"events.bridge.probe" (fun () ->
+      Obs.Span.with_ (Obs.Span.v "events.bridge.probe") (fun () ->
           ignore (Sys.opaque_identity (List.init 10 Fun.id)));
       spin
         (fun () ->
@@ -105,7 +105,7 @@ let test_bridge_roundtrip () =
   (* Bridge uninstalled with the consumer: spans no longer reach the
      ring (write_span would need a live Runtime_events session; the
      hook must be gone regardless). *)
-  Obs.Span.with_ ~name:"events.bridge.after" (fun () -> ());
+  Obs.Span.with_ (Obs.Span.v "events.bridge.after") (fun () -> ());
   check_true "consumer stopped" (not (Obs.Events.running ()))
 
 let test_stop_is_prompt_and_idempotent () =

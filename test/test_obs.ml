@@ -110,9 +110,9 @@ let test_handle_shared_across_domains () =
 let test_span_nesting () =
   check_int "no open span initially" 0 (Obs.Span.current_depth ());
   let seen = ref [] in
-  Obs.Span.with_ ~name:"test.outer" (fun () ->
+  Obs.Span.with_ (Obs.Span.v "test.outer") (fun () ->
       seen := (Obs.Span.current_depth (), Obs.Span.current_name ()) :: !seen;
-      Obs.Span.with_ ~name:"test.inner" (fun () ->
+      Obs.Span.with_ (Obs.Span.v "test.inner") (fun () ->
           seen := (Obs.Span.current_depth (), Obs.Span.current_name ()) :: !seen));
   check_int "stack drained" 0 (Obs.Span.current_depth ());
   (match !seen with
@@ -124,7 +124,7 @@ let test_span_nesting () =
 
 let test_span_exception_closes () =
   (match
-     Obs.Span.with_ ~name:"test.raising" (fun () -> failwith "boom")
+     Obs.Span.with_ (Obs.Span.v "test.raising") (fun () -> failwith "boom")
    with
   | () -> Alcotest.fail "exception swallowed"
   | exception Failure _ -> ());
@@ -159,8 +159,8 @@ let test_span_trace_events () =
         Fun.protect
           ~finally:(fun () -> Obs.Span.set_trace_sink Obs.Sink.Null)
           (fun () ->
-            Obs.Span.with_ ~name:"test.traced_outer" (fun () ->
-                Obs.Span.with_ ~name:"test.traced_inner" ignore)))
+            Obs.Span.with_ (Obs.Span.v "test.traced_outer") (fun () ->
+                Obs.Span.with_ (Obs.Span.v "test.traced_inner") ignore)))
   in
   check_int "one event per span" 2 (List.length lines);
   let parsed =
@@ -190,12 +190,66 @@ let test_span_trace_events () =
         (field "ok" inner = Bool true && field "ok" outer = Bool true)
   | _ -> Alcotest.fail "expected exactly two parsed events"
 
+(* A sink installed while spans are open: the spans that exit after it
+   emit, and their ids and parent links must still be unique and
+   right, since ids are only built at emission. *)
+let test_span_sink_mid_span () =
+  let outer = Obs.Span.v "test.mid.outer"
+  and before = Obs.Span.v "test.mid.before"
+  and inner = Obs.Span.v "test.mid.inner"
+  and leaf = Obs.Span.v "test.mid.leaf"
+  and sibling = Obs.Span.v "test.mid.sibling" in
+  let lines =
+    with_temp_jsonl (fun sink ->
+        Fun.protect
+          ~finally:(fun () -> Obs.Span.set_trace_sink Obs.Sink.Null)
+          (fun () ->
+            Obs.Span.with_ outer (fun () ->
+                Obs.Span.with_ before ignore;
+                Obs.Span.set_trace_sink sink;
+                Obs.Span.with_ inner (fun () -> Obs.Span.with_ leaf ignore);
+                Obs.Span.with_ sibling ignore)))
+  in
+  let events = List.filter_map Obs.Json.of_string lines in
+  let by_name name =
+    match
+      List.find_opt (fun e -> Obs.Json.member "name" e = Some (String name)) events
+    with
+    | Some e -> e
+    | None -> Alcotest.failf "no event for %s" name
+  in
+  let get name field =
+    match Obs.Json.member field (by_name name) with
+    | Some v -> v
+    | None -> Alcotest.failf "%s event missing %S" name field
+  in
+  check_int "the four spans that exit after the sink emit" 4 (List.length events);
+  let ids =
+    List.map
+      (fun n -> match get n "id" with String id -> id | _ -> Alcotest.fail "id not a string")
+      [ "test.mid.outer"; "test.mid.inner"; "test.mid.leaf"; "test.mid.sibling" ]
+  in
+  check_int "ids are unique" 4 (List.length (List.sort_uniq String.compare ids));
+  check_true "outer is a root" (get "test.mid.outer" "parent" = Null);
+  check_true "inner's parent is outer"
+    (get "test.mid.inner" "parent" = get "test.mid.outer" "id");
+  check_true "leaf's parent is inner"
+    (get "test.mid.leaf" "parent" = get "test.mid.inner" "id");
+  check_true "sibling's parent is outer"
+    (get "test.mid.sibling" "parent" = get "test.mid.outer" "id");
+  check_true "depths follow the nesting"
+    (get "test.mid.outer" "depth" = Int 0
+    && get "test.mid.inner" "depth" = Int 1
+    && get "test.mid.leaf" "depth" = Int 2
+    && get "test.mid.sibling" "depth" = Int 1)
+
 (* {2 Trace sampling} *)
 
 (* Run [spans] completions of [name] under [set_sampling n] with a
    Jsonl trace sink installed; returns how many trace lines were
    emitted. *)
 let emitted_under n ~name ~spans =
+  let span = Obs.Span.v name in
   let lines =
     with_temp_jsonl (fun sink ->
         Obs.Span.set_trace_sink sink;
@@ -206,7 +260,7 @@ let emitted_under n ~name ~spans =
             Obs.Span.set_sampling 1)
           (fun () ->
             for _ = 1 to spans do
-              Obs.Span.with_ ~name ignore
+              Obs.Span.with_ span ignore
             done))
   in
   List.length lines
@@ -238,7 +292,7 @@ let test_span_sampling_reset () =
     ~finally:(fun () -> Obs.Span.set_sampling 1)
     (fun () ->
       for _ = 1 to 8 do
-        Obs.Span.with_ ~name:"test.sampled_reset" ignore
+        Obs.Span.with_ (Obs.Span.v "test.sampled_reset") ignore
       done);
   check_int "no sink: sampler never consulted" before
     (Obs.Registry.counter_value "obs.span.sampled_out")
@@ -321,10 +375,7 @@ let test_trace_context_scoping () =
   (match Obs.Trace.with_context ctx (fun () -> failwith "boom") with
   | () -> Alcotest.fail "exception swallowed"
   | exception Failure _ -> ());
-  check_true "restored on exception" (Obs.Trace.current () = None);
-  check_true "current_trace_id matches"
-    (Obs.Trace.with_context ctx Obs.Trace.current_trace_id
-    = Some ctx.Obs.Trace.trace_id)
+  check_true "restored on exception" (Obs.Trace.current () = None)
 
 (* The context is Domain-local: a worker domain neither sees the
    parent's context nor leaks its own back — the property the serving
@@ -353,9 +404,9 @@ let test_span_event_trace_field () =
         Fun.protect
           ~finally:(fun () -> Obs.Span.set_trace_sink Obs.Sink.Null)
           (fun () ->
-            Obs.Span.with_ ~name:"test.untraced_span" ignore;
+            Obs.Span.with_ (Obs.Span.v "test.untraced_span") ignore;
             Obs.Trace.with_context ctx (fun () ->
-                Obs.Span.with_ ~name:"test.traced_span" ignore)))
+                Obs.Span.with_ (Obs.Span.v "test.traced_span") ignore)))
   in
   match List.filter_map Obs.Json.of_string lines with
   | [ untraced; traced ] ->
@@ -730,6 +781,83 @@ let test_export_json_keys () =
         (Obs.Json.member "test.obs.export_key" counters = Some (Int 5))
   | None -> Alcotest.fail "no counters object in JSON export"
 
+
+(* {2 JSON encoding is byte-identical to the Printf-based encoder}
+
+   The encoder formats floats through the C %g formatter directly and
+   copies strings that need no escaping whole; these are the previous
+   implementations, kept as oracles. *)
+
+let oracle_escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let oracle_float_repr x =
+  let s = Printf.sprintf "%.17g" x in
+  let shorter = Printf.sprintf "%.12g" x in
+  if Float.equal (float_of_string shorter) x then shorter else s
+
+let gen_json_float =
+  let open QCheck2.Gen in
+  let signed g = map2 (fun neg x -> if neg then -.x else x) bool g in
+  oneof
+    [
+      oneofl [ 0.0; -0.0; 1.0; -1.0; 0.1; 1e-6; Float.min_float; Float.max_float;
+               Float.epsilon; 4.9e-324 ];
+      (* subnormals *)
+      signed (map (fun m -> Float.ldexp (float_of_int m) (-1074)) (int_range 1 ((1 lsl 52) - 1)));
+      (* integers *)
+      map float_of_int (int_range (-1_000_000_000) 1_000_000_000);
+      (* large and tiny exponents *)
+      signed (map2 (fun m e -> Float.ldexp m e) (float_range 0.5 1.0) (int_range 900 1023));
+      signed (map2 (fun m e -> Float.ldexp m e) (float_range 0.5 1.0) (int_range (-1021) (-900)));
+      (* log10_bop-like verdict fields and ordinary magnitudes *)
+      float_range (-40.0) 0.0;
+      signed (float_range 0.0 1e7);
+      (* arbitrary bit patterns *)
+      map Int64.float_of_bits ui64;
+    ]
+
+let gen_json_string =
+  let open QCheck2.Gen in
+  let piece =
+    oneof
+      [
+        oneofl [ "\""; "\\"; "\n"; "\r"; "\t"; "\000"; "\x1f"; "\x7f"; "/";
+                 "\xc3\xa9"; "\xe2\x88\x9e"; "\xf0\x9f\x98\x80"; "log10_bop" ];
+        map (String.make 1) (map Char.chr (int_range 0 31));
+        string_size ~gen:printable (int_range 0 8);
+        string_size ~gen:char (int_range 0 4);
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 8) piece)
+
+let json_float_identical =
+  qcheck ~count:2000 "json: float encoding matches the Printf oracle" gen_json_float
+    (fun x ->
+      let expected = if Float.is_finite x then oracle_float_repr x else "null" in
+      String.equal (Obs.Json.to_string (Float x)) expected)
+
+let json_string_identical =
+  qcheck ~count:2000 "json: string encoding matches the escape oracle" gen_json_string
+    (fun s ->
+      String.equal (Obs.Json.to_string (String s)) ("\"" ^ oracle_escape s ^ "\"")
+      && String.equal
+           (Obs.Json.to_string (Obj [ (s, Null) ]))
+           ("{\"" ^ oracle_escape s ^ "\":null}"))
+
 let suite =
   [
     case "counter: monotonic, rejects negative" test_counter_monotonic;
@@ -740,6 +868,8 @@ let suite =
     case "span: nesting depth and names" test_span_nesting;
     case "span: closed on exception" test_span_exception_closes;
     case "span: JSON-lines trace events" test_span_trace_events;
+    case "span: sink installed mid-span keeps ids and parents"
+      test_span_sink_mid_span;
     case "span: 1-in-N trace sampling" test_span_sampling_one_in;
     case "span: sampling reset and no sink" test_span_sampling_reset;
     case "span: sampling validation" test_span_sampling_validation;
@@ -758,6 +888,8 @@ let suite =
     case "heatmap: self-contained html" test_heatmap_html;
     case "json: encode/parse round-trip" test_json_roundtrip;
     case "json: rejects malformed input" test_json_rejects_garbage;
+    json_float_identical;
+    json_string_identical;
     case "sink: jsonl message round-trip" test_jsonl_message_roundtrip;
     case "prometheus: golden exposition" test_prometheus_golden;
     case "export: json document keys" test_export_json_keys;

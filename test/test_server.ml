@@ -19,14 +19,14 @@ let with_socketpair f =
 
 (* Feed [bytes] to the parser and return the result; the client end is
    closed after writing so truncated inputs terminate with EOF. *)
-let parse ?limits bytes =
+let parse ?limits ?buf_size bytes =
   with_socketpair (fun client server ->
       Io.write_string client bytes;
       Unix.close client;
-      Http.read_request ?limits (Io.reader server) (Io.deadline_in 5.0))
+      Http.read_request ?limits (Io.reader ?buf_size server) (Io.deadline_in 5.0))
 
-let parse_error_status ?limits bytes =
-  match parse ?limits bytes with
+let parse_error_status ?limits ?buf_size bytes =
+  match parse ?limits ?buf_size bytes with
   | Http.Error { status; _ } -> status
   | Http.Request _ -> Alcotest.failf "parsed %S as a request" bytes
   | Http.Eof -> Alcotest.failf "parsed %S as EOF" bytes
@@ -173,6 +173,118 @@ let test_keep_alive_semantics () =
   check_true "1.1 opts out with close"
     (not (ka "GET /x HTTP/1.1\r\nconnection: close\r\n\r\n"))
 
+(* {2 Line reads: buffered fast path vs. the byte loop}
+
+   [Io.read_line] slices a line straight out of the reader's buffer
+   when its terminator is already there and falls back to a byte loop
+   otherwise.  A small [buf_size] forces lines across refills (the
+   loop); the default buffer takes the fast path. *)
+
+let gen_api_request =
+  let open QCheck2.Gen in
+  let* kind = oneofl [ `Decide; `Admit; `Release ] in
+  let* link = oneofl [ "oc3"; "access"; "edge-7" ] in
+  let* cls = oneofl Cac.Source_class.names in
+  let* conn = int_range 0 100_000 in
+  let* crlf = bool in
+  let* capitalised = bool in
+  let* traced = bool in
+  let* close = bool in
+  let path, body =
+    match kind with
+    | `Decide -> ("/v1/decide", Printf.sprintf {|{"link": "%s", "class": "%s"}|} link cls)
+    | `Admit -> ("/v1/admit", Printf.sprintf {|{"link": "%s", "class": "%s"}|} link cls)
+    | `Release -> ("/v1/release", Printf.sprintf {|{"conn": %d}|} conn)
+  in
+  let eol = if crlf then "\r\n" else "\n" in
+  let name n = if capitalised then String.capitalize_ascii n else n in
+  let headers =
+    [
+      ("host", "cts");
+      ("content-type", "application/json");
+      ("content-length", string_of_int (String.length body));
+    ]
+    @ (if traced then
+         [ ("traceparent", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01") ]
+       else [])
+    @ if close then [ ("connection", "close") ] else []
+  in
+  return
+    (Printf.sprintf "POST %s HTTP/1.1%s%s%s%s" path eol
+       (String.concat "" (List.map (fun (k, v) -> name k ^ ": " ^ v ^ eol) headers))
+       eol body)
+
+(* Chunk sizes for the writer: one byte at a time, or arbitrary runs. *)
+let gen_chunks =
+  QCheck2.Gen.(
+    oneof [ return [ 1 ]; list_size (int_range 1 8) (int_range 1 40) ])
+
+(* Write [bytes] in chunks (sizes cycled) from another domain while
+   this one parses it through a reader of [buf_size] bytes. *)
+let parse_chunked ~chunks ~buf_size bytes =
+  with_socketpair (fun client server ->
+      let writer =
+        Domain.spawn (fun () ->
+            let n = String.length bytes in
+            let rec go pos sizes =
+              if pos < n then begin
+                let size, rest =
+                  match sizes with [] -> (1, chunks) | k :: rest -> (k, rest)
+                in
+                let k = Stdlib.min size (n - pos) in
+                Io.write_string client (String.sub bytes pos k);
+                go (pos + k) rest
+              end
+            in
+            go 0 chunks)
+      in
+      let result =
+        Http.read_request (Io.reader ~buf_size server) (Io.deadline_in 5.0)
+      in
+      Domain.join writer;
+      result)
+
+let prop_chunked_parse =
+  qcheck ~count:120 "parser: chunked requests parse like unsplit bytes"
+    QCheck2.Gen.(
+      triple gen_api_request gen_chunks (oneofl [ 1; 2; 3; 7; 16; 64; 8192 ]))
+    (fun (bytes, chunks, buf_size) ->
+      match (parse bytes, parse_chunked ~chunks ~buf_size bytes) with
+      | Http.Request whole, Http.Request split -> whole = split
+      | _ -> false)
+
+let test_line_limit_edges () =
+  let limits = { Http.max_line = 48; max_headers = 4; max_body = 64 } in
+  (* a request line of exactly [n] bytes before its terminator *)
+  let request_line n = "GET /" ^ String.make (n - 14) 'a' ^ " HTTP/1.1" in
+  let header_line n = "x: " ^ String.make (n - 3) 'b' in
+  List.iter
+    (fun buf_size ->
+      let path = if buf_size = 1 then "byte loop" else "fast path" in
+      let parses what bytes =
+        match parse ~limits ~buf_size bytes with
+        | Http.Request _ -> ()
+        | _ -> Alcotest.failf "%s (%s): %S did not parse" what path bytes
+      in
+      let fails what status bytes =
+        check_int (Printf.sprintf "%s (%s)" what path) status
+          (parse_error_status ~limits ~buf_size bytes)
+      in
+      check_int "request line length" 48 (String.length (request_line 48));
+      parses "request line of max_line bytes" (request_line 48 ^ "\n\n");
+      fails "request line of max_line + 1 bytes" 414 (request_line 49 ^ "\n\n");
+      parses "CRLF request line, CR included, of max_line bytes"
+        (request_line 47 ^ "\r\n\r\n");
+      fails "CRLF request line of max_line + 1 bytes" 414
+        (request_line 48 ^ "\r\n\r\n");
+      parses "header line of max_line bytes"
+        ("GET /x HTTP/1.1\n" ^ header_line 48 ^ "\n\n");
+      fails "header line of max_line + 1 bytes" 431
+        ("GET /x HTTP/1.1\n" ^ header_line 49 ^ "\n\n");
+      fails "CRLF header line of max_line + 1 bytes" 431
+        ("GET /x HTTP/1.1\r\n" ^ header_line 48 ^ "\r\n\r\n"))
+    [ 8192; 1 ]
+
 (* {2 Router} *)
 
 let make_router () =
@@ -208,6 +320,22 @@ let test_router_dispatch () =
     (contains_substring
        (Http.to_string ~keep_alive:false resp)
        "allow: GET")
+
+(* The exact bytes [Http.write] puts on the wire. *)
+let test_serialize_golden () =
+  let resp = Http.add_header (Http.text ~status:404 "nope") ("traceparent", "00-ab-cd-01") in
+  check_str "keep-alive response"
+    "HTTP/1.1 404 Not Found\r\n\
+     traceparent: 00-ab-cd-01\r\n\
+     content-type: text/plain; charset=utf-8\r\n\
+     content-length: 4\r\n\
+     connection: keep-alive\r\n\
+     \r\n\
+     nope"
+    (Http.to_string ~keep_alive:true resp);
+  check_str "closing response with an unknown status"
+    "HTTP/1.1 299 Unknown\r\ncontent-length: 0\r\nconnection: close\r\n\r\n"
+    (Http.to_string ~keep_alive:false (Http.response ~status:299 ""))
 
 let test_router_rejects_duplicates () =
   match
@@ -553,6 +681,13 @@ let test_access_log () =
       match List.filter_map Obs.Json.of_string (read_lines path) with
       | [ line ] ->
           let f name = Obs.Json.member name line in
+          check_true "the line's fields, in order"
+            (match line with
+            | Obs.Json.Obj fields ->
+                List.map fst fields
+                = [ "ts"; "kind"; "method"; "path"; "status"; "us";
+                    "queue_wait_us"; "gc_pause_us"; "trace" ]
+            | _ -> false);
           check_true "kind tagged" (f "kind" = Some (String "access"));
           check_true "method logged" (f "method" = Some (String "GET"));
           check_true "path logged" (f "path" = Some (String "/ping"));
@@ -573,6 +708,115 @@ let test_access_log () =
           check_true "gc pause logged" (non_negative (f "gc_pause_us"))
       | lines ->
           Alcotest.failf "expected one access line, got %d" (List.length lines))
+
+let requests_series () =
+  List.length
+    (List.filter
+       (fun ((name, _), _) -> String.equal name "srv.http.requests")
+       (Obs.Registry.snapshot ()).Obs.Registry.counters)
+
+(* Any token is accepted as a method, so [srv.http.requests]'
+   [method] label buckets the non-standard ones: 500 distinct made-up
+   methods add at most one series.  The access log keeps each raw
+   method. *)
+let test_method_label_bounded () =
+  let path = Filename.temp_file "srv_methods" ".log" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let before = requests_series () in
+      let oc = open_out path in
+      let prev = Obs.Sink.human_sink () in
+      Obs.Sink.set_human (Obs.Sink.Text oc);
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Sink.set_human prev;
+          close_out_noerr oc)
+        (fun () ->
+          let config =
+            { Pool.default_config with domains = 1; access_log = true }
+          in
+          let pool = Pool.create ~config (make_router ()) in
+          with_socketpair (fun client server ->
+              let worker =
+                Domain.spawn (fun () ->
+                    Pool.serve_connection pool ~queue_wait_us:0.0 server)
+              in
+              Fun.protect
+                ~finally:(fun () -> ignore (Domain.join worker))
+                (fun () ->
+                  let reader = Io.reader client in
+                  for i = 1 to 500 do
+                    Io.write_string client
+                      (Printf.sprintf "MADEUP%d /ping HTTP/1.1\r\n\r\n" i);
+                    let st, _, _ = read_response reader in
+                    check_int "made-up method on a known path" 405 st
+                  done;
+                  Unix.shutdown client Unix.SHUTDOWN_SEND)));
+      let grown = requests_series () - before in
+      if grown > 1 then
+        Alcotest.failf "500 made-up methods added %d request series" grown;
+      let methods =
+        List.filter_map
+          (fun line -> Obs.Json.member "method" line)
+          (List.filter_map Obs.Json.of_string (read_lines path))
+      in
+      check_int "one access line per request" 500 (List.length methods);
+      check_true "access log keeps the raw method"
+        (List.mem (Obs.Json.String "MADEUP417") methods))
+
+(* The decide path's allocation budget on the serving domain, with the
+   access log on and a [Null] human sink (the daemon under --quiet):
+   the line must not be built for a sink that drops it.  The parent of
+   this guard allocated about 2,800 minor words per request here. *)
+let test_decide_allocation_budget () =
+  let requests = 2_000 in
+  let prev = Obs.Sink.human_sink () in
+  Obs.Sink.set_human Obs.Sink.Null;
+  Fun.protect
+    ~finally:(fun () -> Obs.Sink.set_human prev)
+    (fun () ->
+      with_api (fun api ->
+          let cls = Cac.Source_class.of_name_exn "dar1" in
+          (* warm the decision cache off the measured domain *)
+          ignore
+            (Cac_api.with_engine api (fun e ->
+                 Cac.Engine.evaluate e ~link:"oc3" ~cls));
+          let config =
+            { Pool.default_config with domains = 1; access_log = true }
+          in
+          let pool = Pool.create ~config (Cac_api.router api) in
+          let body = {|{"link": "oc3", "class": "dar1"}|} in
+          let request =
+            Printf.sprintf
+              "POST /v1/decide HTTP/1.1\r\n\
+               content-type: application/json\r\n\
+               content-length: %d\r\n\
+               \r\n\
+               %s"
+              (String.length body) body
+          in
+          let words =
+            with_socketpair (fun client server ->
+                let worker =
+                  Domain.spawn (fun () ->
+                      let w0 = Gc.minor_words () in
+                      Pool.serve_connection pool ~queue_wait_us:0.0 server;
+                      Gc.minor_words () -. w0)
+                in
+                let reader = Io.reader client in
+                for _ = 1 to requests do
+                  Io.write_string client request;
+                  let st, _, _ = read_response reader in
+                  check_int "decide served" 200 st
+                done;
+                Unix.shutdown client Unix.SHUTDOWN_SEND;
+                Domain.join worker)
+          in
+          let per_request = words /. float_of_int requests in
+          if not (per_request < 2_200.0) then
+            Alcotest.failf "%.0f minor words per decide (budget 2,200)"
+              per_request))
 
 (* The per-request GC attribution loop: a handler that provokes a full
    major and then outlives the consumer's poll interval must see its
@@ -854,11 +1098,20 @@ let suite =
       test_handler_exception_contained;
     slow_case "pool: overload sheds 503 from the accept loop"
       test_overload_sheds_503;
+    (* Alcotest numbers cases by position and reports name them by that
+       number, so new cases go after the ones already listed. *)
+    prop_chunked_parse;
+    case "parser: line limits at max_line and max_line + 1"
+      test_line_limit_edges;
+    case "http: response serialization golden" test_serialize_golden;
     case "trace: traceparent echoed and generated"
       test_traceparent_round_trip;
     case "trace: one decide, one correlated span tree"
       test_trace_correlation_jsonl;
     case "access log: one JSON line per request" test_access_log;
+    case "metrics: made-up methods share one label" test_method_label_bounded;
+    case "pool: decide allocation budget with a null access sink"
+      test_decide_allocation_budget;
     case "gc attribution: handler pauses land in srv.http.gc_pause.us"
       test_gc_attribution;
     case "debug vars: gc, clock and providers" test_debug_vars;
